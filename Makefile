@@ -13,7 +13,8 @@
 #                       floor and refreshes benchmarks/results/COVERAGE.json
 #                       (skipped with a notice when pytest-cov is missing)
 #   make bench-smoke  - <60s perf smoke: fast paths must beat the scalar
-#                       references (POWER_BENCH_FAST=1 shrinks the workload)
+#                       references (POWER_BENCH_FAST=1 shrinks the workload;
+#                       the report goes to /tmp, not benchmarks/results/)
 #   make bench-perf   - full pipeline benchmark; enforces the 5x vectorize /
 #                       3x construct speedup floors and refreshes
 #                       benchmarks/results/BENCH_pipeline.json
@@ -22,6 +23,8 @@
 #   make bench-shard  - shard-scaling benchmark: speedup curve + measured
 #                       Amdahl fraction; enforces the 2.5x @ 4 workers floor
 #                       and refreshes benchmarks/results/BENCH_shard.json
+#   make bench-shard-smoke - <60s smoke of the same; the gates only require
+#                       equivalence and a >1x projection
 #   make bench-selection - selection-loop benchmark: incremental path-cover
 #                       engine vs per-round scratch (byte-identical
 #                       transcripts); enforces the 3x floor and refreshes
@@ -74,9 +77,9 @@ export PYTHONPATH := src
 # Minimum acceptable line coverage (percent) for `make coverage`.
 COVERAGE_FLOOR ?= 85
 
-.PHONY: check test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke verify lint coverage bench-smoke bench-perf bench-shard bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-plan bench-plan-smoke
+.PHONY: check test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke verify lint coverage bench-smoke bench-perf bench-shard bench-shard-smoke bench-selection bench-selection-smoke bench-obs bench-obs-smoke bench-stream bench-stream-smoke bench-serve bench-serve-smoke bench-plan bench-plan-smoke
 
-check: test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-plan-smoke verify coverage lint
+check: test engine-smoke shard-smoke stream-smoke serve-smoke plan-smoke bench-smoke bench-shard-smoke bench-selection-smoke bench-obs-smoke bench-stream-smoke bench-serve-smoke bench-plan-smoke verify coverage lint
 
 test:
 	$(PYTHON) -m pytest -q
@@ -110,8 +113,14 @@ coverage:
 		     "(floor: $(COVERAGE_FLOOR)%, summary: benchmarks/results/COVERAGE.json)"; \
 	fi
 
+# Like the other smokes: fast-mode timings must not clobber the committed
+# full-run BENCH_pipeline.json / BENCH_shard.json.
+PIPELINE_SMOKE_OUT ?= /tmp/BENCH_pipeline_smoke.json
+SHARD_SMOKE_OUT ?= /tmp/BENCH_shard_smoke.json
+
 bench-smoke:
-	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_perf_pipeline.py --check
+	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_perf_pipeline.py --check \
+		--out $(PIPELINE_SMOKE_OUT)
 	POWER_BENCH_FAST=1 $(PYTHON) -m pytest -q tests/test_perf_smoke.py
 
 bench-perf:
@@ -119,6 +128,10 @@ bench-perf:
 
 bench-shard:
 	$(PYTHON) benchmarks/bench_shard_scaling.py --check
+
+bench-shard-smoke:
+	POWER_BENCH_FAST=1 $(PYTHON) benchmarks/bench_shard_scaling.py --check \
+		--out $(SHARD_SMOKE_OUT)
 
 bench-selection:
 	$(PYTHON) benchmarks/bench_selection_loop.py --check

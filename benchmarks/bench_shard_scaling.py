@@ -1,6 +1,6 @@
 """Shard-scaling benchmark: the exact sharded resolver's speedup curve.
 
-Times :class:`repro.shard.ShardedResolver` (exact lockstep mode) against
+Times :class:`repro.shard.ShardedResolver` (exact mode) against
 the serial :class:`repro.core.PowerResolver` on an ACMPub-scale workload
 at 1/2/4/8 workers, measures the Amdahl parallel fraction from an inline
 instrumented run, verifies every run byte-identical to the serial

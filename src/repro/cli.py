@@ -301,11 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "shard",
         help="resolve through the partitioned multi-process resolver",
         description=(
-            "Run a benchmark dataset through repro.shard.ShardedResolver: "
-            "the candidate join, similarity vectors, dominance adjacency, "
-            "and inference propagation are partitioned across worker "
-            "processes and merged deterministically.  The default 'exact' "
-            "mode produces byte-identical results to the serial "
+            "Run a benchmark dataset through repro.shard.ShardedResolver.  "
+            "The default 'exact' mode is the serial pipeline with the "
+            "candidate join range-tiled across worker processes; it "
+            "produces byte-identical results to the serial "
             "PowerResolver at any worker/shard count; 'independent' runs "
             "one resolution loop per shard of the candidate graph and "
             "merges matches, billing, and telemetry."
@@ -322,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="shard work units (default: one per worker)")
     shard.add_argument("--mode", default="exact",
                        choices=["exact", "independent"],
-                       help="exact = bit-identical lockstep; independent = "
+                       help="exact = bit-identical, parallel join; independent = "
                             "per-shard resolution loops")
     shard.add_argument("--max-pairs", type=int, default=None,
                        help="independent mode: split components larger "

@@ -55,7 +55,8 @@ class PowerConfig:
         shards: number of shard work units for
             :class:`~repro.shard.ShardedResolver` (``None`` → one per
             worker process).  In the exact mode this is the number of
-            data-parallel slices (any value yields bit-identical results);
+            candidate-join range tiles (any value yields bit-identical
+            results);
             in the independent mode it is the number of per-shard
             resolution loops.
         shard_max_pairs: size cap for the independent-mode partitioner —

@@ -23,6 +23,7 @@ Example:
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -272,17 +273,51 @@ class PowerResolver:
             self.last_plan = plan
             result.selection.extras["plan"] = plan.to_payload()
             return result
+        result, _ = self._run_pipeline(table, session, worker_band, engine)
+        return result
+
+    def _run_pipeline(
+        self,
+        table: Table,
+        session: CrowdSession | None,
+        worker_band: str | tuple[float, float],
+        engine: "CrowdEngine | None" = None,
+        budget: int | None = None,
+        join: Callable[[Table], list[Pair]] | None = None,
+    ) -> tuple[ResolutionResult, dict[str, float]]:
+        """The pipeline body: join, vectorize, construct, select, cluster.
+
+        Both resolvers run this body; the sharded one swaps in its
+        range-tiled parallel join and changes nothing else.
+
+        Args:
+            budget: optional cap on distinct crowd questions, handed to
+                :meth:`~repro.selection.base.QuestionSelector.run`.
+            join: the candidate-join stage; :meth:`candidate_pairs` when
+                omitted.
+
+        Returns:
+            ``(result, seconds)`` — *seconds* maps each stage (``join``,
+            ``vectorize``, ``construct``, ``select``, ``cluster``) to its
+            wall time.
+        """
         obs = obs_instrument.current()
         tracer = obs.tracer
+        seconds: dict[str, float] = {}
+
+        def finish(stage: str, started: float) -> None:
+            seconds[stage] = time.perf_counter() - started
+            obs_instrument.record_stage_seconds(
+                obs, stage, seconds[stage], dataset=table.name
+            )
+
         with tracer.span(
             "resolve", dataset=table.name, selector=self.config.selector
         ) as resolve_span:
             started = time.perf_counter()
             with tracer.span("resolve.join"):
-                pairs = self.candidate_pairs(table)
-            obs_instrument.record_stage_seconds(
-                obs, "join", time.perf_counter() - started, dataset=table.name
-            )
+                pairs = (join or self.candidate_pairs)(table)
+            finish("join", started)
             if not pairs:
                 raise DataError(
                     f"no candidate pairs survive pruning at threshold "
@@ -291,16 +326,12 @@ class PowerResolver:
             started = time.perf_counter()
             with tracer.span("resolve.vectorize", pairs=len(pairs)):
                 vectors = self.similarity_vectors(table, pairs)
-            obs_instrument.record_stage_seconds(
-                obs, "vectorize", time.perf_counter() - started, dataset=table.name
-            )
+            finish("vectorize", started)
             started = time.perf_counter()
             with tracer.span("resolve.construct") as construct_span:
                 graph = self.build_graph(table, pairs, vectors=vectors)
                 construct_span.set_attribute("vertices", len(graph))
-            obs_instrument.record_stage_seconds(
-                obs, "construct", time.perf_counter() - started, dataset=table.name
-            )
+            finish("construct", started)
             if session is None:
                 crowd = self.simulated_crowd(table, pairs, worker_band)
                 if engine is not None:
@@ -314,10 +345,8 @@ class PowerResolver:
                 else:
                     session = crowd.session()
             started = time.perf_counter()
-            selection = self.make_selector().run(graph, session)
-            obs_instrument.record_stage_seconds(
-                obs, "select", time.perf_counter() - started, dataset=table.name
-            )
+            selection = self.make_selector().run(graph, session, budget)
+            finish("select", started)
             if engine is not None:
                 engine.finalize(session)
                 selection.extras["telemetry"] = engine.telemetry.as_dict()
@@ -330,9 +359,7 @@ class PowerResolver:
                 quality = None
                 if table.has_ground_truth():
                     quality = pairwise_quality(matches, true_match_pairs(table))
-            obs_instrument.record_stage_seconds(
-                obs, "cluster", time.perf_counter() - started, dataset=table.name
-            )
+            finish("cluster", started)
             if obs.metrics:
                 registry = obs.registry
                 registry.counter(
@@ -364,4 +391,4 @@ class PowerResolver:
             matches=matches,
             clusters=clusters,
             quality=quality,
-        )
+        ), seconds

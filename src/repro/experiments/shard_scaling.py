@@ -7,12 +7,11 @@ single machine-readable report (the payload of
 * the **serial baseline** — one :class:`~repro.core.PowerResolver` run;
 * the **parallel fraction** — one inline (``workers=0``) sharded run whose
   executor accumulates the wall time spent inside task batches
-  (:attr:`~repro.shard.executor.ExecutorStats.run_seconds`).  Every
-  data-parallel piece of the exact mode (candidate-join probe ranges,
-  vector chunks, adjacency row blocks, propagation slices) goes through
-  ``ShardExecutor.run``, so with inline execution that accumulator *is*
-  the parallelizable compute and ``p = run_seconds / wall`` is a measured
-  Amdahl fraction, not a guess;
+  (:attr:`~repro.shard.executor.ExecutorStats.run_seconds`).  The exact
+  mode's one parallel stage, the range-tiled candidate join, goes
+  through ``ShardExecutor.run``, so with inline execution that
+  accumulator *is* the parallelizable compute and ``p = run_seconds /
+  wall`` is a measured Amdahl fraction, not a guess;
 * the **measured speedup curve** — timed multi-process runs at each
   requested worker count, each verified byte-identical to the serial
   baseline (candidate pairs, labels, questions, iterations, billing,

@@ -72,7 +72,6 @@ def blocked_dominance_lists(
     dominated: np.ndarray,
     block_size: int = DEFAULT_BLOCK_SIZE,
     exclude_diagonal: bool = True,
-    row_range: tuple[int, int] | None = None,
 ) -> list[np.ndarray]:
     """Children lists of the strict-dominance relation, computed in tiles.
 
@@ -94,11 +93,6 @@ def blocked_dominance_lists(
         exclude_diagonal: drop ``u == v`` matches (self-dominance of a
             degenerate single-point group); pair graphs never produce them
             because strict dominance already excludes equal rows.
-        row_range: optional ``(lo, hi)``: compute lists only for dominant
-            rows ``lo..hi-1`` (columns stay global).  The sharded executor
-            uses this to build the adjacency in parallel row blocks —
-            concatenating the per-range outputs in row order reproduces the
-            full-range output exactly, tile boundaries included.
     """
     dominant = _validate(dominant)
     dominated = _validate(dominated)
@@ -109,14 +103,9 @@ def blocked_dominance_lists(
     if block_size < 1:
         raise GraphError(f"block_size must be >= 1, got {block_size}")
     n, m = dominant.shape
-    lo, hi = (0, n) if row_range is None else row_range
-    if not 0 <= lo <= hi <= n:
-        raise GraphError(
-            f"row_range must satisfy 0 <= lo <= hi <= {n}, got ({lo}, {hi})"
-        )
     children: list[np.ndarray] = []
-    for start in range(lo, hi, block_size):
-        block = dominant[start : min(start + block_size, hi)]
+    for start in range(0, n, block_size):
+        block = dominant[start : start + block_size]
         height = block.shape[0]
         all_ge = np.ones((height, n), dtype=bool)
         any_gt = np.zeros((height, n), dtype=bool)

@@ -7,16 +7,17 @@ Layers, bottom to top:
 
 * :mod:`repro.shard.partition` — connected components of the candidate
   graph, size-capped weak-edge splitting, and LPT bin-packing.
-* :mod:`repro.shard.worker` — picklable pure task specs (vector chunks,
-  adjacency row blocks, propagation vote slices, independent shard
-  loops) plus deterministic fault injection for the executor tests.
+* :mod:`repro.shard.worker` — picklable pure task specs (candidate-join
+  probe ranges, vector chunks, independent shard loops) plus
+  deterministic fault injection for the executor tests.
 * :mod:`repro.shard.executor` — process-pool scheduling with
   largest-first dispatch, per-task timeout/retry, and in-process
   fallback; budget-split helpers for the independent mode.
 * :mod:`repro.shard.merge` — associative, shard-order-independent
   reductions of shard results.
 * :mod:`repro.shard.resolver` — the :class:`ShardedResolver` facade with
-  the same ``resolve(table, ...)`` signature as the serial resolver.
+  the same ``resolve(table, ...)`` signature as the serial resolver; its
+  exact mode is the serial pipeline with a range-tiled parallel join.
 
 See DESIGN.md §10 for the determinism argument.
 """
@@ -28,11 +29,8 @@ from .executor import (
     split_question_budget,
 )
 from .merge import (
-    apply_answer_batch,
-    merge_adjacency_blocks,
     merge_independent_outcomes,
     merge_vector_chunks,
-    merge_vote_deltas,
     merged_clusters,
 )
 from .partition import (
@@ -47,17 +45,13 @@ from .partition import (
 )
 from .resolver import SHARD_MODES, ShardedResolver
 from .worker import (
-    AdjacencyTask,
     FaultSpec,
     IndependentShardTask,
     JoinTask,
-    PropagationTask,
     ShardOutcome,
     VectorTask,
-    compute_adjacency,
     compute_join_pairs,
     compute_vectors,
-    compute_vote_deltas,
     derive_shard_seed,
     resolve_shard,
 )
@@ -81,19 +75,12 @@ __all__ = [
     "derive_shard_seed",
     "JoinTask",
     "VectorTask",
-    "AdjacencyTask",
-    "PropagationTask",
     "IndependentShardTask",
     "ShardOutcome",
     "compute_join_pairs",
     "compute_vectors",
-    "compute_adjacency",
-    "compute_vote_deltas",
     "resolve_shard",
     "merge_vector_chunks",
-    "merge_adjacency_blocks",
-    "merge_vote_deltas",
-    "apply_answer_batch",
     "merged_clusters",
     "merge_independent_outcomes",
 ]

@@ -19,9 +19,9 @@ Two consumers exist:
 
 * the **independent** execution mode shards the record graph via
   :func:`plan_pair_shards` (each shard resolves its own pairs end to end);
-* the **exact** lockstep mode partitions the *vertices* of the built
-  dominance DAG into balanced slices via :func:`vertex_slices` — inference
-  is replayed exactly there, so any disjoint cover is correct and balance
+* the streaming service cuts a routed batch's candidate pairs into
+  balanced contiguous chunks via :func:`vertex_slices` — the chunks are
+  reassembled in row order, so any disjoint cover is correct and balance
   is the only objective.
 
 Everything in this module is deterministic: ties break on the smallest
@@ -323,12 +323,11 @@ def plan_pair_shards(
 
 
 def vertex_slices(num_vertices: int, num_slices: int) -> list[tuple[int, int]]:
-    """Balanced contiguous ``[lo, hi)`` vertex ranges for the exact mode.
+    """Balanced contiguous ``[lo, hi)`` ranges over ``num_vertices`` rows.
 
-    The exact lockstep executor replays inference globally, so *any*
-    disjoint cover of the dominance DAG's vertices is correct; contiguous
-    balanced slices maximise propagation balance at zero planning cost.
-    Empty slices are dropped (fewer vertices than slices).
+    Chunked work is reassembled in row order, so *any* disjoint cover is
+    correct; contiguous balanced slices maximise balance at zero planning
+    cost.  Empty slices are dropped (fewer rows than slices).
     """
     if num_slices < 1:
         raise ConfigurationError(f"num_slices must be >= 1, got {num_slices}")

@@ -6,17 +6,18 @@ Drop-in for :class:`~repro.core.resolver.PowerResolver` — same
 across CPU cores through :class:`~repro.shard.executor.ShardExecutor`.
 Two execution modes:
 
-* ``mode="exact"`` (default) — **lockstep data parallelism**.  The
-  coordinator runs the real selector, RNG, and crowd session in exactly
-  the serial order; workers compute the data-parallel pieces (candidate-
-  join probe ranges, similarity vector chunks, dominance-adjacency row
-  blocks, per-slice inference-vote deltas) whose merges are associative
-  and order-free.  The result is
-  **bit-identical** to ``PowerResolver.resolve`` — same matches, same
-  question transcript, same iteration count, same bill — for *any* shard
-  count and *any* worker count, including after worker crashes, timeouts,
-  and in-process fallbacks.  This is the mode the
-  ``check_shard_equivalence`` differential certifies.
+* ``mode="exact"`` (default) — **the serial pipeline with a
+  range-tiled parallel join**.  Vectorize, construct, select, settle and
+  cluster are the very code :meth:`PowerResolver.resolve` runs (one
+  shared body, one selection loop); only the candidate join — the stage
+  that dominates large-table wall time — is tiled by probe-record ranges
+  across the workers, and its sorted concatenation is the serial join's
+  output pair for pair.  The result is **bit-identical** to
+  ``PowerResolver.resolve`` — same matches, same question transcript,
+  same iteration count, same bill — for *any* shard count and *any*
+  worker count, including after worker crashes, timeouts, and in-process
+  fallbacks.  This is the mode the ``check_shard_equivalence``
+  differential certifies.
 * ``mode="independent"`` — **CrowdER-style component sharding**.  The
   candidate graph is partitioned into connected components, giant
   components are split on their weakest edges under the
@@ -40,42 +41,20 @@ import time
 
 import numpy as np
 
-from ..core.clustering import clusters_from_matches
 from ..core.config import PowerConfig
 from ..core.resolver import PowerResolver, ResolutionResult
 from ..crowd.platform import CrowdSession
 from ..data.ground_truth import true_match_pairs
 from ..data.table import Table
-from ..exceptions import ConfigurationError, DataError, SelectionError
-from ..graph.coloring import ColoringState
-from ..graph.dag import OrderedGraph
+from ..exceptions import ConfigurationError, DataError
 from ..obs import instrument as obs_instrument
-from ..selection.base import SelectionResult
-from ..selection.error_tolerant import (
-    ErrorPolicy,
-    resolve_blue_pairs,
-    resolve_undecided_vertices,
-)
 from .executor import ShardExecutor, questions_for_cents, split_question_budget
-from .merge import (
-    apply_answer_batch,
-    merge_adjacency_blocks,
-    merge_independent_outcomes,
-    merge_vector_chunks,
-    merge_vote_deltas,
-    merged_clusters,
-)
-from .partition import plan_pair_shards, vertex_slices
+from .merge import merge_independent_outcomes, merged_clusters
+from .partition import plan_pair_shards
 from .worker import (
-    AdjacencyTask,
     IndependentShardTask,
     JoinTask,
-    PropagationTask,
-    VectorTask,
-    compute_adjacency,
     compute_join_pairs,
-    compute_vectors,
-    compute_vote_deltas,
     derive_shard_seed,
     resolve_shard,
 )
@@ -96,7 +75,7 @@ class ShardedResolver(PowerResolver):
             processes — deterministic and dependency-free, the mode the
             verification battery uses); ``None`` → ``min(shards,
             cpu_count)``.
-        mode: ``"exact"`` (bit-identical lockstep, default) or
+        mode: ``"exact"`` (bit-identical, parallel join; default) or
             ``"independent"`` (per-shard full loops, CrowdER-style).
         timeout: per-task seconds before a worker is declared hung;
             ``None`` disables.
@@ -195,7 +174,7 @@ class ShardedResolver(PowerResolver):
         return self._resolve_exact(table, session, worker_band, budget)
 
     # ------------------------------------------------------------------ #
-    # Exact lockstep mode
+    # Exact mode
     # ------------------------------------------------------------------ #
 
     def _resolve_exact(
@@ -205,90 +184,37 @@ class ShardedResolver(PowerResolver):
         worker_band: str | tuple[float, float],
         budget: int | None,
     ) -> ResolutionResult:
-        timings: dict[str, float] = {}
+        """The serial pipeline body with the candidate join range-tiled."""
         obs = obs_instrument.current()
-        tracer = obs.tracer
-        with self._executor() as executor, tracer.span(
+        with self._executor() as executor, obs.tracer.span(
             "shard.resolve",
             dataset=table.name,
             mode="exact",
             shards=self.num_shards,
             workers=self.workers,
         ):
-            # Stage 1: the candidate similarity join, tiled by probe-record
-            # ranges (the join dominates large-table wall time).
-            started = time.perf_counter()
-            with tracer.span("shard.join"):
-                pairs = self._parallel_candidate_pairs(table, executor)
-            timings["join"] = time.perf_counter() - started
-            if not pairs:
-                raise DataError(
-                    f"no candidate pairs survive pruning at threshold "
-                    f"{self.config.pruning_threshold} on table {table.name!r}"
-                )
-            # Stage 2: similarity vectors, chunked by pair ranges.
-            started = time.perf_counter()
-            with tracer.span("shard.vectors", pairs=len(pairs)):
-                similarity = self.similarity_config(table)
-                chunks = [
-                    VectorTask(
-                        start=lo,
-                        pairs=tuple(pairs[lo:hi]),
-                        table=table,
-                        config=similarity,
-                        use_batch=self.config.use_batch_similarity,
-                    )
-                    for lo, hi in vertex_slices(len(pairs), self.num_shards)
-                ]
-                vectors = merge_vector_chunks(
-                    executor.run(
-                        compute_vectors, chunks, weights=[len(c.pairs) for c in chunks]
-                    )
-                )
-            timings["vectors"] = time.perf_counter() - started
-
-            # Stage 3: the (grouped) graph, with adjacency built in
-            # parallel row blocks and attached to the graph's cache.
-            started = time.perf_counter()
-            with tracer.span("shard.graph"):
-                graph = self.build_graph(table, pairs, vectors=vectors)
-                self._attach_parallel_adjacency(graph, executor)
-            timings["graph"] = time.perf_counter() - started
-
-            # Stage 4: the lockstep selection loop.
-            if session is None:
-                session = self.simulated_crowd(table, pairs, worker_band).session()
-            started = time.perf_counter()
-            with tracer.span("shard.selection"):
-                selection = self._run_lockstep(graph, session, executor, budget)
-            timings["selection"] = time.perf_counter() - started
-            for stage, seconds in timings.items():
-                obs_instrument.record_stage_seconds(
-                    obs, f"shard.{stage}", seconds, dataset=table.name
-                )
-            obs_instrument.record_executor_stats(obs, executor.stats.as_dict())
-            selection.extras["shard"] = {
-                "mode": "exact",
-                "shards": self.num_shards,
-                "workers": self.workers,
-                "timings": timings,
-                "executor": executor.stats.as_dict(),
-            }
-        matches = selection.matches
-        clusters = clusters_from_matches(len(table), matches)
-        quality = None
-        if table.has_ground_truth():
-            from ..core.metrics import pairwise_quality
-
-            quality = pairwise_quality(matches, true_match_pairs(table))
-        return ResolutionResult(
-            table_name=table.name,
-            candidate_pairs=pairs,
-            selection=selection,
-            matches=matches,
-            clusters=clusters,
-            quality=quality,
-        )
+            result, seconds = self._run_pipeline(
+                table,
+                session,
+                worker_band,
+                budget=budget,
+                join=lambda table: self._parallel_candidate_pairs(table, executor),
+            )
+            stats = executor.stats.as_dict()
+            obs_instrument.record_executor_stats(obs, stats)
+        result.selection.extras["shard"] = {
+            "mode": "exact",
+            "shards": self.num_shards,
+            "workers": self.workers,
+            "timings": {
+                "join": seconds["join"],
+                "vectors": seconds["vectorize"],
+                "graph": seconds["construct"],
+                "selection": seconds["select"],
+            },
+            "executor": stats,
+        }
+        return result
 
     def _parallel_candidate_pairs(
         self, table: Table, executor: ShardExecutor
@@ -350,194 +276,6 @@ class ShardedResolver(PowerResolver):
             merged.extend(chunk)
         merged.sort()
         return merged
-
-    def _attach_parallel_adjacency(
-        self, graph: OrderedGraph, executor: ShardExecutor
-    ) -> None:
-        """Build ``graph.adjacency()`` from parallel row blocks.
-
-        Concatenating per-range outputs of the blocked kernel in row order
-        is exactly the full-range output (each row's children are computed
-        independently of the tiling), so the cached adjacency is
-        bit-identical to what the serial path would build lazily.
-        """
-        operands = graph._dominance_operands()
-        if operands is None or len(graph) == 0:
-            return
-        dominant, dominated = operands
-        tasks = [
-            AdjacencyTask(dominant=dominant, dominated=dominated, lo=lo, hi=hi)
-            for lo, hi in vertex_slices(len(graph), self.num_shards)
-        ]
-        blocks = executor.run(
-            compute_adjacency, tasks, weights=[task.hi - task.lo for task in tasks]
-        )
-        graph._adjacency = merge_adjacency_blocks(blocks, len(graph))
-
-    def _run_lockstep(
-        self,
-        graph: OrderedGraph,
-        session: CrowdSession,
-        executor: ShardExecutor,
-        budget: int | None = None,
-    ) -> SelectionResult:
-        """The serial ask/color loop with parallel inference propagation.
-
-        Mirrors :meth:`repro.selection.base.QuestionSelector.run` statement
-        for statement — same selector, same RNG consumption order, same
-        session, same guard and budget semantics — except that each crowd
-        round's vote propagation is computed as per-slice deltas in the
-        workers and merged through :func:`merge_vote_deltas` /
-        :func:`apply_answer_batch` (proven equivalent to the serial
-        one-answer-at-a-time engine; see those docstrings).
-        """
-        if budget is not None and budget < 0:
-            raise SelectionError(f"budget must be >= 0, got {budget}")
-        obs = obs_instrument.current()
-        tracer = obs.tracer
-        selector = self.make_selector()
-        selector.reset()
-        rng = np.random.default_rng(selector.seed)
-        state = ColoringState(graph)
-        operands = graph._dominance_operands()
-        slices = vertex_slices(len(graph), self.num_shards) if len(graph) else []
-        threshold = (
-            selector.error_policy.confidence_threshold
-            if selector.error_policy
-            else None
-        )
-        assignment_time = 0.0
-        propagate_seconds = 0.0
-        rounds = 0
-        guard = 0
-        per_round: list[dict] = []
-        while not state.is_complete():
-            remaining = None if budget is None else budget - session.questions_asked
-            if remaining is not None and remaining <= 0:
-                break
-            guard += 1
-            if guard > 10 * len(graph) + 10:
-                raise SelectionError(
-                    f"{selector.name}: no progress after {guard} iterations"
-                )
-            with tracer.span("selection.round", round=rounds) as round_span:
-                colored_before = len(state.uncolored())
-                timer = time.perf_counter()
-                vertices = selector.select(graph, state, rng)
-                cover_seconds = time.perf_counter() - timer
-                assignment_time += cover_seconds
-                vertices = [v for v in vertices if state.colors[v] == 0]
-                if not vertices:
-                    raise SelectionError(
-                        f"{selector.name}: selected no uncolored vertices while "
-                        f"{len(state.uncolored())} remain"
-                    )
-                if remaining is not None:
-                    vertices = vertices[:remaining]
-                vertices = obs_instrument.observe_round(
-                    obs, selector.name, rounds, vertices, cover_seconds
-                )
-                questions = {
-                    vertex: graph.representative_pair(vertex, rng)
-                    for vertex in vertices
-                }
-                answers = session.ask_batch(questions.values())
-                answered: list[tuple[int, bool | None]] = []
-                for vertex, pair in questions.items():
-                    outcome = answers[pair]
-                    if threshold is not None and outcome.confidence < threshold:
-                        answered.append((vertex, None))
-                    else:
-                        answered.append((vertex, bool(outcome.answer)))
-                timer = time.perf_counter()
-                self._propagate_batch(
-                    graph, state, executor, operands, slices, answered
-                )
-                round_propagate = time.perf_counter() - timer
-                propagate_seconds += round_propagate
-                newly_colored = colored_before - len(state.uncolored())
-                round_span.set_attribute("asked", len(vertices))
-                round_span.set_attribute("colored", newly_colored)
-                per_round.append(
-                    {
-                        "round": rounds,
-                        "asked": len(vertices),
-                        "colored": newly_colored,
-                        "cover_seconds": cover_seconds,
-                        "propagate_seconds": round_propagate,
-                    }
-                )
-            rounds += 1
-        labels = state.pair_labels()
-        fallback_policy = selector.error_policy or ErrorPolicy()
-        if selector.error_policy is not None:
-            labels.update(resolve_blue_pairs(graph, state, selector.error_policy))
-        uncolored = state.uncolored()
-        if uncolored.size:
-            labels.update(
-                resolve_undecided_vertices(graph, state, uncolored, fallback_policy)
-            )
-        telemetry = {
-            "cover_seconds": assignment_time,
-            "propagate_seconds": propagate_seconds,
-            "rounds": rounds,
-            "incremental": selector.incremental and graph.reachability is not None,
-            "per_round": per_round,
-        }
-        engine_stats = selector._selection_stats()
-        if engine_stats is not None:
-            telemetry["engine"] = engine_stats
-        obs_instrument.record_selection_metrics(obs, selector.name, telemetry)
-        return SelectionResult(
-            name=selector.name,
-            labels=labels,
-            questions=session.questions_asked,
-            iterations=session.iterations,
-            assignment_time=assignment_time,
-            state=state,
-            cost_cents=session.cost_cents,
-            extras={"selection": telemetry},
-        )
-
-    def _propagate_batch(
-        self,
-        graph: OrderedGraph,
-        state: ColoringState,
-        executor: ShardExecutor,
-        operands: tuple[np.ndarray, np.ndarray] | None,
-        slices: list[tuple[int, int]],
-        answered: list[tuple[int, bool | None]],
-    ) -> None:
-        """Apply one round's answers with shard-parallel vote propagation."""
-        green = [vertex for vertex, answer in answered if answer is True]
-        red = [vertex for vertex, answer in answered if answer is False]
-        if operands is None or not slices or not (green or red):
-            # No operand form (custom graph) or a BLUE-only round: the
-            # serial engine is already the fastest correct path.
-            for vertex, answer in answered:
-                if answer is None:
-                    state.mark_blue(vertex)
-                else:
-                    state.apply_answer(vertex, answer)
-            return
-        dominant, dominated = operands
-        tasks = [
-            PropagationTask(
-                dominant_block=dominant[lo:hi],
-                dominated_block=dominated[lo:hi],
-                lo=lo,
-                green_vertices=tuple(green),
-                green_rows=dominated[green],
-                red_vertices=tuple(red),
-                red_rows=dominant[red],
-            )
-            for lo, hi in slices
-        ]
-        deltas = executor.run(
-            compute_vote_deltas, tasks, weights=[len(t.dominant_block) for t in tasks]
-        )
-        green_delta, red_delta = merge_vote_deltas(deltas, len(graph))
-        apply_answer_batch(state, answered, green_delta, red_delta)
 
     # ------------------------------------------------------------------ #
     # Independent mode

@@ -9,14 +9,13 @@ and produce the *same bytes*.
 Two families of tasks exist, matching the two execution modes of
 :mod:`repro.shard`:
 
-* **exact lockstep** tasks — data-parallel slices of the serial pipeline's
-  own arithmetic.  :func:`compute_join_pairs` emits one probe range of the
-  candidate similarity join, :func:`compute_vectors` vectorizes a chunk of
-  candidate pairs, :func:`compute_adjacency` builds a row block of the
-  dominance adjacency, and :func:`compute_vote_deltas` computes one vertex
-  slice's inference-vote deltas for a batch of crowd answers.  Their merges
-  (:mod:`repro.shard.merge`) are associative and order-free, so the merged
-  result is bit-identical to the serial path regardless of scheduling.
+* **exact-mode** tasks — data-parallel slices of the serial pipeline's
+  own arithmetic.  :func:`compute_join_pairs` emits one probe range of
+  the candidate similarity join (the exact sharded resolver's only
+  parallel stage), and :func:`compute_vectors` vectorizes a chunk of
+  candidate pairs (the streaming service routes large batches through
+  it).  Their merges are order-free, so the merged result is
+  bit-identical to the serial path regardless of scheduling.
 * **independent** tasks — :func:`resolve_shard` runs the full
   Power/Power+ graph-build → selection → crowd loop on one shard's pair
   set, with a per-shard RNG seed derived from the global seed and the
@@ -226,135 +225,6 @@ def compute_vectors(task: VectorTask) -> tuple[int, np.ndarray]:
     return task.start, vectorize(task.table, list(task.pairs), task.config)
 
 
-@dataclass(frozen=True)
-class AdjacencyTask:
-    """One row block of the blocked dominance-adjacency construction.
-
-    Carries the *full* dominance operands (they are small — ``(n, m)``
-    float rows) plus the ``[lo, hi)`` row range this task owns, so the
-    kernel's comparisons are exactly the serial kernel's comparisons for
-    those rows.
-    """
-
-    dominant: np.ndarray
-    dominated: np.ndarray
-    lo: int
-    hi: int
-    block_size: int = 256
-    fault: FaultSpec | None = None
-
-
-def compute_adjacency(task: AdjacencyTask) -> tuple[int, list[np.ndarray]]:
-    """Children lists for dominance rows ``[lo, hi)`` (global column ids)."""
-    maybe_fault(task.fault)
-    from ..graph.construction import blocked_dominance_lists
-
-    lists = blocked_dominance_lists(
-        task.dominant,
-        task.dominated,
-        block_size=task.block_size,
-        exclude_diagonal=True,
-        row_range=(task.lo, task.hi),
-    )
-    return task.lo, lists
-
-
-@dataclass(frozen=True)
-class PropagationTask:
-    """One vertex slice's inference-vote deltas for a batch of answers.
-
-    For the slice ``[lo, hi)`` of the dominance DAG, computes how many
-    GREEN votes each slice vertex receives from the batch's GREEN answers
-    (it strictly dominates an answered vertex: ``dominant[u] >=
-    dominated[v]`` with a strict component) and how many RED votes from the
-    RED answers (it is strictly dominated: ``dominated[u] <=
-    dominant[v]``) — the same operand form
-    :meth:`repro.graph.dag.OrderedGraph._dominance_operands` feeds the
-    blocked kernel, valid for pair and grouped graphs alike.
-
-    Attributes:
-        dominant_block / dominated_block: operand rows ``lo:hi``.
-        lo: global index of the slice's first vertex.
-        green_vertices / green_rows: GREEN-answered vertices and their
-            *dominated* operand rows (the comparison targets).
-        red_vertices / red_rows: RED-answered vertices and their
-            *dominant* operand rows.
-    """
-
-    dominant_block: np.ndarray
-    dominated_block: np.ndarray
-    lo: int
-    green_vertices: tuple[int, ...]
-    green_rows: np.ndarray
-    red_vertices: tuple[int, ...]
-    red_rows: np.ndarray
-    fault: FaultSpec | None = None
-
-
-#: Answered vertices are processed in chunks of this many per comparison
-#: broadcast, bounding the ``(slice, chunk, m)`` boolean temporary.
-_VOTE_CHUNK = 256
-
-
-def _vote_counts(
-    block: np.ndarray,
-    rows: np.ndarray,
-    vertices: tuple[int, ...],
-    lo: int,
-    green: bool,
-) -> np.ndarray:
-    """Votes received by each block vertex from the answered *vertices*.
-
-    ``green=True`` counts, per block vertex ``u``, the answered vertices it
-    strictly dominates' ancestors relation (``block[u] >= row`` all, ``>``
-    any); ``green=False`` the strictly-dominated relation (``block[u] <=
-    row`` all, ``<`` any).  A vertex never votes for itself (the serial
-    masks pin ``mask[vertex] = False``).
-    """
-    height = block.shape[0]
-    counts = np.zeros(height, dtype=np.int32)
-    if not len(vertices):
-        return counts
-    for start in range(0, len(vertices), _VOTE_CHUNK):
-        chunk_rows = rows[start : start + _VOTE_CHUNK]
-        cmp = block[:, None, :]
-        if green:
-            mask = (cmp >= chunk_rows[None, :, :]).all(axis=2) & (
-                cmp > chunk_rows[None, :, :]
-            ).any(axis=2)
-        else:
-            mask = (cmp <= chunk_rows[None, :, :]).all(axis=2) & (
-                cmp < chunk_rows[None, :, :]
-            ).any(axis=2)
-        for offset, vertex in enumerate(vertices[start : start + _VOTE_CHUNK]):
-            if lo <= vertex < lo + height:
-                mask[vertex - lo, offset] = False  # self-vote never happens
-        counts += mask.sum(axis=1, dtype=np.int32)
-    return counts
-
-
-def compute_vote_deltas(
-    task: PropagationTask,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(lo, green_delta, red_delta)`` for the task's vertex slice.
-
-    Exactness: the serial engine applies one answer at a time —
-    ``_green_votes[ancestor_mask(v)] += 1`` per GREEN answer,
-    ``_red_votes[descendant_mask(v)] += 1`` per RED — and vote addition is
-    commutative and associative, so per-slice partial sums merged in any
-    order equal the serial per-answer sums exactly (integer arithmetic,
-    no rounding).
-    """
-    maybe_fault(task.fault)
-    green = _vote_counts(
-        task.dominant_block, task.green_rows, task.green_vertices, task.lo, True
-    )
-    red = _vote_counts(
-        task.dominated_block, task.red_rows, task.red_vertices, task.lo, False
-    )
-    return task.lo, green, red
-
-
 # --------------------------------------------------------------------------- #
 # Independent-mode task: one shard's full resolution loop
 # --------------------------------------------------------------------------- #
@@ -488,10 +358,6 @@ __all__ = [
     "compute_join_pairs",
     "VectorTask",
     "compute_vectors",
-    "AdjacencyTask",
-    "compute_adjacency",
-    "PropagationTask",
-    "compute_vote_deltas",
     "IndependentShardTask",
     "ShardOutcome",
     "resolve_shard",

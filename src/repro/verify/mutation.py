@@ -16,7 +16,8 @@ mutant                  seeded bug
 ``overlapping-paths``   the "minimum" path cover repeats a vertex
 ``billing-floor``       HIT count floors instead of ceiling
 ``weight-blind-votes``  weighted aggregation ignores worker accuracies
-``shard-merge-drop``    the shard merge drops every slice's votes but one
+``shard-merge-drop``    the sharded join drops every range tile's pairs but
+                        the first
 ``stale-matching``      deleting a matched vertex leaves its partner claimed
 ``obs-perturbs-selection``  instrumentation drops a vertex from each round
 ``stream-stale-index``  a streamed batch lands in the token index as
@@ -209,25 +210,29 @@ def _mutant_weight_blind_votes():
 
 
 def _mutant_shard_merge_drop():
-    """The shard vote merge keeps only the first slice's contribution.
+    """The sharded join's reduction keeps only the first tile's pairs.
 
     Models the classic parallel-reduction bug: a merge that is only
-    correct for a single worker.  Patched at the defining module *and* at
-    the resolver's import site, exactly like the other lazily-bound
-    helpers, so the sharded lockstep loop actually runs the broken merge.
+    correct for a single worker.  Every range tile after the first comes
+    back empty, so the exact sharded resolver silently loses the
+    candidate pairs owned by the higher record ids.  Patched at the
+    defining module *and* at the resolver's import site, exactly like the
+    other lazily-bound helpers, so the sharded join actually runs the
+    broken tiles; only ``check_shard_equivalence``'s candidate-pair
+    comparison runs the sharded resolver, so it must catch it.
     """
-    from ..shard import merge as shard_merge
     from ..shard import resolver as shard_resolver
+    from ..shard import worker as shard_worker
 
-    original = shard_merge.merge_vote_deltas
+    original = shard_worker.compute_join_pairs
 
-    def mutated(slices, num_vertices):
-        slices = list(slices)
-        return original(slices[:1], num_vertices)  # bug: drops slices 2..n
+    def mutated(task):
+        pairs = original(task)
+        return pairs if task.lo == 0 else []  # bug: drops tiles 2..n
 
     return _patched(
-        (shard_merge, "merge_vote_deltas", mutated),
-        (shard_resolver, "merge_vote_deltas", mutated),
+        (shard_worker, "compute_join_pairs", mutated),
+        (shard_resolver, "compute_join_pairs", mutated),
     )
 
 
@@ -356,9 +361,9 @@ def _mutant_obs_perturbs_selection():
     battery sails through; only ``check_observability_transparent`` (the one
     step that runs the pipeline under an active handle and compares it
     against the plain run) can catch it — proving that check has teeth.
-    Both call sites (``selection.base``, ``shard.resolver``) import the
-    :mod:`repro.obs.instrument` *module*, so patching the defining module's
-    attribute reaches them all.
+    The call site (``selection.base``, shared by the serial and sharded
+    resolvers) imports the :mod:`repro.obs.instrument` *module*, so
+    patching the defining module's attribute reaches it.
     """
     from ..obs import instrument as obs_instrument
 
@@ -411,7 +416,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "shard-merge-drop",
-        "the shard vote merge drops every slice's contribution but the first",
+        "the sharded join drops every range tile's pairs but the first",
         _mutant_shard_merge_drop,
     ),
     Mutant(
@@ -532,9 +537,9 @@ def run_detection_battery(
     )
     oracles.check_crowd_aggregation(crowd, pairs[:10])
 
-    # Sharded lockstep vs serial resolver: inline (workers=0), >= 2 slices,
-    # so a merge that drops or double-counts a shard's contribution has to
-    # change the transcript, the labels, or the bill.
+    # Sharded vs serial resolver: inline (workers=0), >= 2 join tiles, so
+    # a merge that drops or double-counts a tile's pairs has to change the
+    # candidate pairs, the transcript, the labels, or the bill.
     oracles.check_shard_equivalence(
         _battery_table(), seed=seed, shard_counts=(2, 3)
     )

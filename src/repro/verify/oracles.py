@@ -705,14 +705,15 @@ def check_shard_equivalence(
     """The exact sharded resolver must be byte-identical to the serial one.
 
     Runs :class:`~repro.core.resolver.PowerResolver` once, then
-    :class:`~repro.shard.ShardedResolver` in its exact lockstep mode for
-    every shard count in *shard_counts* (inline, ``workers=0`` — so the
-    differential attacks the task/merge decomposition itself, not
-    multiprocessing luck), and demands identical labels, matches, question
-    and iteration counts, billing, and clusters.
+    :class:`~repro.shard.ShardedResolver` in its exact mode for every
+    shard count in *shard_counts* (inline, ``workers=0`` — so the
+    differential attacks the range-tiled join decomposition itself, not
+    multiprocessing luck), and demands identical candidate pairs, labels,
+    matches, question and iteration counts, billing, clusters, and
+    selection engine (the incremental reachability index on both sides).
 
-    This is the check that catches merge mutants: a merge that drops a
-    slice's vote contribution, mis-tiles a chunk, or double-counts a shard
+    This is the check that catches merge mutants: a join reduction that
+    drops a tile's pairs, mis-tiles a range, or double-counts a shard
     changes at least one of these observables on any non-trivial table.
     """
     from ..core.config import PowerConfig
@@ -739,6 +740,11 @@ def check_shard_equivalence(
             ("questions", sharded.questions, serial.questions),
             ("iterations", sharded.iterations, serial.iterations),
             ("cost_cents", sharded.cost_cents, serial.cost_cents),
+            (
+                "incremental",
+                sharded.selection.extras["selection"]["incremental"],
+                serial.selection.extras["selection"]["incremental"],
+            ),
         ):
             if sharded_value != serial_value:
                 raise VerificationError(

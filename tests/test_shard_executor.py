@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import PowerConfig, PowerResolver
+from repro.data import restaurant
 from repro.exceptions import ConfigurationError
 from repro.shard import (
     FaultSpec,
@@ -166,6 +167,45 @@ class TestBitIdenticalUnderFaults:
         assert sharded.selection.labels == serial.selection.labels
         assert sharded.matches == serial.matches
         assert sharded.clusters == serial.clusters
+        assert sharded.selection.state.asked_order == serial.selection.state.asked_order
+
+
+class TestExactModeBudget:
+    """Exact-mode budgets reach the serial selection loop unchanged."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return restaurant()
+
+    def serial_run(self, table, budget):
+        resolver = PowerResolver(PowerConfig(seed=0))
+        pairs = resolver.candidate_pairs(table)
+        graph = resolver.build_graph(table, pairs)
+        session = resolver.simulated_crowd(table, pairs).session()
+        return resolver.make_selector().run(graph, session, budget=budget)
+
+    def sharded_run(self, table, **caps):
+        return ShardedResolver(PowerConfig(seed=0, shards=2), workers=0).resolve(
+            table, **caps
+        )
+
+    def assert_same(self, sharded, serial):
+        assert not serial.state.is_complete()  # the budget stopped the loop
+        assert sharded.selection.labels == serial.labels
+        assert sharded.questions == serial.questions
+        assert sharded.selection.state.asked_order == serial.state.asked_order
+        assert sharded.cost_cents == serial.cost_cents
+
+    def test_question_budget_matches_serial(self, table):
+        serial = self.serial_run(table, budget=40)
+        assert serial.questions == 40
+        self.assert_same(self.sharded_run(table, budget=40), serial)
+
+    def test_money_budget_matches_serial(self, table):
+        serial = self.serial_run(table, budget=questions_for_cents(200))
+        sharded = self.sharded_run(table, max_cents=200)
+        self.assert_same(sharded, serial)
+        assert sharded.cost_cents <= 200
 
 
 class TestBudgetSplit:
