@@ -19,11 +19,13 @@ class PowerConfig:
         attribute_threshold: per-attribute clamp ``tau`` (Table 2 uses 0.2).
         pruning_threshold: record-level Jaccard bound for candidate pairs
             (the paper uses 0.3 on ACMPub, 0.2 elsewhere).
-        join_method: candidate-join strategy — ``"auto"`` (default; picks by
-            table size, see
-            :data:`repro.similarity.join.AUTO_PREFIX_CROSSOVER`), ``"naive"``,
-            ``"prefix"``, or ``"sparse"``.  Lets the resolver force the prefix
-            join (or the numpy inverted-list join) regardless of table size.
+        join_method: candidate-join strategy — ``"auto"`` (default; the
+            naive scan up to
+            :data:`repro.similarity.join.AUTO_PREFIX_CROSSOVER` rows, the
+            numpy inverted-list ``"sparse"`` join above it, or the
+            calibrated planner's pick), ``"naive"``, ``"prefix"``, or
+            ``"sparse"``.  Lets the resolver force one join regardless of
+            table size; all of them find the identical pair set.
         join_tokens: token sets for the pruning join — ``"word"`` (default)
             or ``"qgram"``.
         use_batch_similarity: compute similarity vectors through the

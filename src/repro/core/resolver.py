@@ -117,10 +117,6 @@ class PowerResolver:
     # Cost-based planning
     # ------------------------------------------------------------------ #
 
-    #: Plannable-knob constraint for this resolver: the serial pipeline
-    #: can use any join, including the global sparse one.
-    _plan_allows_sparse = True
-
     def _planned_clone(self, table: Table):
         """``(resolver, plan)`` — ``(self, None)`` when planning is off.
 
@@ -143,7 +139,6 @@ class PowerResolver:
             self.config,
             profile,
             workers=getattr(self, "workers", None),
-            allow_sparse=self._plan_allows_sparse,
         )
         clone = copy.copy(self)
         clone.config = plan_planner.apply_plan(self.config, plan)

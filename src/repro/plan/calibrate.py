@@ -15,7 +15,7 @@ snapshot discipline of :mod:`repro.stream.snapshot`.
 When no calibrated profile exists the planner falls back to
 :func:`default_profile` — documented order-of-magnitude CPython/numpy
 coefficients that keep every decision sane (batch vectorization wins,
-the naive/prefix join crossover exists) without claiming host fidelity;
+the naive/sparse join crossover exists) without claiming host fidelity;
 ``profile.calibrated`` records which kind a plan was built from.
 
 The default on-disk location is ``~/.cache/repro/plan_profile.json``,

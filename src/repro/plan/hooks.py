@@ -56,12 +56,12 @@ def clear_cache() -> None:
 
 
 def planned_join_method(rows: int, avg_tokens: float) -> str | None:
-    """Calibrated naive-vs-prefix choice for ``method="auto"``.
+    """Calibrated naive-vs-sparse choice for ``method="auto"``.
 
-    Only the two range-capable joins are candidates — ``"auto"`` must
-    resolve identically for the serial and sharded paths, and the sparse
-    join has no range form.  Returns ``None`` (use the static crossover)
-    without a calibrated profile.
+    The same two joins the static crossover chooses between; both have a
+    range form, so the serial and sharded paths resolve ``"auto"``
+    identically.  Returns ``None`` (use the static crossover) without a
+    calibrated profile.
     """
     profile = calibrated_profile()
     if profile is None:
@@ -69,10 +69,10 @@ def planned_join_method(rows: int, avg_tokens: float) -> str | None:
     naive = profile.predict(
         "join_naive", UNIT_FORMULAS["join_naive"](rows, avg_tokens)
     )
-    prefix = profile.predict(
-        "join_prefix", UNIT_FORMULAS["join_prefix"](rows, avg_tokens)
+    sparse = profile.predict(
+        "join_sparse", UNIT_FORMULAS["join_sparse"](rows, avg_tokens)
     )
-    return "naive" if naive <= prefix else "prefix"
+    return "naive" if naive <= sparse else "sparse"
 
 
 def predicted_batch_seconds(

@@ -253,27 +253,18 @@ def _stage_prediction(
 
 
 def choose_join_method(
-    stats: TableStats,
-    profile: CalibrationProfile,
-    allow_sparse: bool = True,
+    stats: TableStats, profile: CalibrationProfile
 ) -> PlanDecision:
     """Price the three candidate joins and keep the cheapest.
 
-    The sharded resolver tiles the join by record ranges, which the
-    sparse (global matrix) join cannot do — pass ``allow_sparse=False``
-    there.
+    Every join has a range form, so the choice holds for the serial and
+    the sharded (range-tiled) resolvers alike.
     """
     priced = [
         ("naive", _stage_prediction(profile, "join_naive", stats.rows, stats.avg_tokens)),
         ("prefix", _stage_prediction(profile, "join_prefix", stats.rows, stats.avg_tokens)),
+        ("sparse", _stage_prediction(profile, "join_sparse", stats.rows, stats.avg_tokens)),
     ]
-    if allow_sparse:
-        priced.append(
-            (
-                "sparse",
-                _stage_prediction(profile, "join_sparse", stats.rows, stats.avg_tokens),
-            )
-        )
     return _pick(
         "join_method",
         priced,
@@ -350,7 +341,7 @@ def choose_shards(
     ``8 x workers``; the model's dispatch term is what stops the blowup.
     """
     lanes = max(1, workers or 1)
-    join = _stage_prediction(profile, "join_prefix", stats.rows, stats.avg_tokens)
+    join = _stage_prediction(profile, "join_sparse", stats.rows, stats.avg_tokens)
     vectorize = _stage_prediction(
         profile, "vectorize_batch", stats.est_pairs, stats.attrs
     )
@@ -399,12 +390,11 @@ def plan_for_stats(
     stats: TableStats,
     profile: CalibrationProfile,
     workers: int | None = None,
-    allow_sparse: bool = True,
 ) -> Plan:
     """Build the full plan for the given statistics and profile."""
     engine, reachability = choose_selection(stats, profile)
     decisions = (
-        choose_join_method(stats, profile, allow_sparse=allow_sparse),
+        choose_join_method(stats, profile),
         choose_vectorize(stats, profile),
         engine,
         reachability,
@@ -424,7 +414,6 @@ def plan_for_table(
     config: "PowerConfig",
     profile: CalibrationProfile,
     workers: int | None = None,
-    allow_sparse: bool = True,
 ) -> Plan:
     """Measure *table* and plan for it under *config*'s semantics."""
     stats = TableStats.from_table(
@@ -433,9 +422,7 @@ def plan_for_table(
         tokens=config.join_tokens,
         seed=config.seed,
     )
-    return plan_for_stats(
-        stats, profile, workers=workers, allow_sparse=allow_sparse
-    )
+    return plan_for_stats(stats, profile, workers=workers)
 
 
 def apply_plan(config: "PowerConfig", plan: Plan) -> "PowerConfig":

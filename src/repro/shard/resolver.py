@@ -48,6 +48,7 @@ from ..data.ground_truth import true_match_pairs
 from ..data.table import Table
 from ..exceptions import ConfigurationError, DataError
 from ..obs import instrument as obs_instrument
+from ..similarity.join import resolve_join_method
 from .executor import ShardExecutor, questions_for_cents, split_question_budget
 from .merge import merge_independent_outcomes, merged_clusters
 from .partition import plan_pair_shards
@@ -105,11 +106,6 @@ class ShardedResolver(PowerResolver):
             limit = os.cpu_count() or 1
             workers = min(self.config.shards or limit, limit)
         self.workers = workers
-
-    #: The sharded join is tiled by record ranges
-    #: (:func:`repro.similarity.join.similar_pairs_range`), and the sparse
-    #: join has no range form — the planner must not choose it here.
-    _plan_allows_sparse = False
 
     @property
     def num_shards(self) -> int:
@@ -230,19 +226,18 @@ class ShardedResolver(PowerResolver):
         equal-work tiles have equal ``hi² - lo²``), and dispatch weights
         carry the same quadratic estimate for the LPT scheduler.
 
-        Falls back to the serial join when the table is trivial, when the
-        plan has a single shard, or when the configured method is
-        ``"sparse"`` (one global matrix product — no range form).  With
-        ``workers=0`` the tiles still run (inline), so the equivalence
-        differential attacks the tiling decomposition itself.
+        ``"auto"`` is resolved once, here, through the same rule as the
+        serial join (:func:`repro.similarity.join.resolve_join_method`), so
+        every tile runs the join the serial path would.  Falls back to the
+        serial join when the table is trivial or the plan has a single
+        shard.  With ``workers=0`` the tiles still run (inline), so the
+        equivalence differential attacks the tiling decomposition itself.
         """
-        from ..similarity.join import AUTO_PREFIX_CROSSOVER
-
-        method = self.config.join_method
-        if method == "auto":
-            method = "prefix" if len(table) > AUTO_PREFIX_CROSSOVER else "naive"
-        if method == "sparse" or self.num_shards <= 1 or len(table) < 2:
+        if self.num_shards <= 1 or len(table) < 2:
             return self.candidate_pairs(table)
+        method = resolve_join_method(
+            table, self.config.join_tokens, self.config.join_method
+        )
         boundaries = sorted(
             {
                 round(len(table) * math.sqrt(step / self.num_shards))

@@ -158,9 +158,8 @@ class JoinTask:
         threshold: the record-level Jaccard pruning bound ``tau``.
         lo / hi: the probe-record range this task owns.
         tokens: ``"word"`` or ``"qgram"`` token sets.
-        method: ``"naive"`` or ``"prefix"`` (``"auto"`` must be resolved
-            by the coordinator so every task agrees; ``"sparse"`` has no
-            range form and stays on the serial path).
+        method: ``"naive"``, ``"prefix"`` or ``"sparse"`` (``"auto"`` must
+            be resolved by the coordinator so every task agrees).
     """
 
     table: Table

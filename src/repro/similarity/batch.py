@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
+from itertools import chain
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
@@ -480,54 +481,77 @@ def batch_similarity_matrix(
 
 
 def sparse_jaccard_join(
-    token_sets: Sequence[frozenset[str]], threshold: float
+    token_sets: Sequence[frozenset[str]],
+    threshold: float,
+    lo: int = 0,
+    hi: int | None = None,
 ) -> set[Pair]:
     """All pairs with ``jaccard(token_sets[i], token_sets[j]) >= threshold``.
 
-    An inverted-list join: records are scanned in id order; each record
-    gathers the posting lists of its tokens (all earlier records sharing at
-    least one token) and obtains every intersection size in one
+    An inverted-list join over a CSR posting index: one stable sort puts
+    every token's records in one contiguous, ascending run, so the records
+    *before* record ``b`` that share a token with it form a prefix of that
+    run whose length is precomputed per token occurrence.  Records are
+    probed in id order; each gathers its tokens' prefixes with one
+    vectorized index and obtains every intersection size in one
     ``np.bincount``.  The verification ``∩ / ∪ >= t`` is then a vectorized
     int/int division — the exact same IEEE operation as the scalar
     :func:`jaccard` — so the result matches ``_naive_join`` pair for pair.
 
     Records with *empty* token sets follow the scalar convention (two empty
     sets have similarity 1.0) and are paired among themselves.
+
+    With a ``[lo, hi)`` probe range only the pairs *owned* by those records
+    are returned (pair ``(a, b)`` belongs to ``b``).  The index is built
+    over all records ``[0, hi)``, so the records before *lo* are replayed
+    into the postings and the empty-set list but never probed, and each
+    record in the range sees exactly the index state of the full scan.
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    for tokens in token_sets:
-        rows.append(
-            np.fromiter(
-                (vocab.setdefault(token, len(vocab)) for token in tokens),
-                dtype=np.int64,
-            )
-        )
-    sizes = np.fromiter((ids.size for ids in rows), dtype=np.int64, count=len(rows))
-    postings: list[list[int]] = [[] for _ in range(len(vocab))]
+    indexed = token_sets[:hi]
     pairs: set[Pair] = set()
-    empties: list[int] = []
-    for record_id, ids in enumerate(rows):
-        if not ids.size:
+    if not indexed:
+        return pairs
+    vocab = {token: index for index, token in enumerate(set().union(*indexed))}
+    sizes = np.fromiter(map(len, indexed), dtype=np.int64, count=len(indexed))
+    token_ids = np.fromiter(
+        map(vocab.__getitem__, chain.from_iterable(indexed)),
+        dtype=np.int64,
+        count=int(sizes.sum()),
+    )
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    order = np.argsort(token_ids, kind="stable")
+    postings = np.repeat(np.arange(len(indexed), dtype=np.int64), sizes)[order]
+    run_start = np.zeros(len(vocab), dtype=np.int64)
+    np.cumsum(np.bincount(token_ids, minlength=len(vocab))[:-1], out=run_start[1:])
+    # Per token occurrence: where its token's run starts, and how many
+    # earlier records the run holds before this one.
+    starts = run_start[token_ids]
+    earlier = np.empty_like(token_ids)
+    earlier[order] = np.arange(token_ids.size) - starts[order]
+    # One int object per record id, shared by every pair naming it (ints
+    # fresh from ``tolist()`` would cost one more object per pair).
+    record_ids = list(range(len(indexed)))
+    empties = [record_ids[other] for other in np.flatnonzero(sizes[:lo] == 0).tolist()]
+    for record_id in record_ids[lo:]:
+        first, last = bounds[record_id], bounds[record_id + 1]
+        if first == last:
             # jaccard(∅, ∅) == 1.0 >= threshold for every valid threshold.
             pairs.update((other, record_id) for other in empties)
             empties.append(record_id)
             continue
-        gathered = [postings[token] for token in ids]
-        flat: list[int] = []
-        for posting in gathered:
-            flat.extend(posting)
-        if flat:
-            counts = np.bincount(
-                np.asarray(flat, dtype=np.int64), minlength=record_id
+        lengths = earlier[first:last]
+        ends = lengths.cumsum()
+        total = int(ends[-1])
+        if total:
+            gather = np.arange(total) + np.repeat(
+                starts[first:last] - (ends - lengths), lengths
             )
+            counts = np.bincount(postings[gather], minlength=record_id)
             candidates = np.flatnonzero(counts)
             inter = counts[candidates]
-            union = sizes[candidates] + ids.size - inter
+            union = sizes[candidates] + (last - first) - inter
             keep = candidates[(inter / union) >= threshold]
-            pairs.update((int(other), record_id) for other in keep)
-        for token in ids:
-            postings[token].append(record_id)
+            pairs.update((record_ids[other], record_id) for other in keep.tolist())
     return pairs

@@ -2,9 +2,13 @@
 
 "We compute a similarity score for each pair of records by Jaccard and prune
 pairs whose similarity scores are below [tau]."  For small tables the naive
-quadratic scan is fine; for the ACMPub-scale dataset we use a prefix-filtered
-inverted-index similarity join — the standard technique behind the pruning
-step in the cited prior work (CrowdER et al.).
+quadratic scan is fine; above a measured crossover we use the numpy
+inverted-list join (:func:`repro.similarity.batch.sparse_jaccard_join`) —
+the similarity-join family behind the pruning step in the cited prior work
+(CrowdER et al.).  A prefix-filtered join stays available as an explicit
+choice.  Every method has a ``[lo, hi)`` range form
+(:func:`similar_pairs_range`), so the sharded resolver tiles the same
+kernel the serial path runs.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, defaultdict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from ..data.ground_truth import Pair
 from ..data.table import Table
@@ -22,16 +26,37 @@ from .edit import edit_distance_within
 from .jaccard import jaccard
 from .tokenize import qgram_tokens, word_tokens
 
-#: Table size at which ``method="auto"`` switches from the quadratic scan to
-#: the prefix-filtered join — the documented **uncalibrated fallback**.
-#: Below this point the naive scan's lack of index bookkeeping wins (measured
-#: on the paper's Restaurant/Cora-scale tables); above it the O(n^2)
-#: candidate space dominates and prefix filtering pays.  When a calibrated
-#: host profile exists (``repro plan --calibrate``), ``"auto"`` asks the
-#: planner instead (:func:`repro.plan.hooks.planned_join_method`) and this
-#: constant is never consulted.  Callers can always force a method
-#: explicitly (``PowerConfig.join_method``).
-AUTO_PREFIX_CROSSOVER = 1200
+#: Row count above which ``method="auto"`` leaves the quadratic naive scan
+#: for the sparse inverted-list join — the documented **uncalibrated
+#: fallback**.  (The name is historical; it stays because external tools
+#: import it.)
+#:
+#: Set from a sweep of the naive vs the sparse join on restaurant
+#: prefixes at the default pruning threshold (0.2): join time only (token
+#: sets prebuilt), methods interleaved, median of 21 runs per point (41
+#: near the crossover, 5 at 858 rows), one core of a 2-CPU x86-64 host,
+#: Python 3.11, numpy 2.4.  Naive/sparse time ratio (above 1: sparse wins):
+#:
+#: ======  ====  ====  ====  ====  ====  ====  ====  ====  ====  ====
+#: rows      25    50    75    85    90   100   150   200   300   858
+#: word    0.32  0.62  0.94  0.92  1.00  1.24  1.52  1.99  3.42  6.80
+#: ======  ====  ====  ====  ====  ====  ====  ====  ====  ====  ====
+#:
+#: Word tokens (the default) break even at ~90 rows (a rerun with 41 runs
+#: per point read 0.88 at 85, 0.93 at 90, 1.05 at 95), which sets this
+#: constant.  q-gram tokens carry more tokens per record and break even
+#: earlier, at ~30 rows (0.86 at 25, 1.16 at 35, 3.11 at 100, 12.6 at
+#: 858); the static rule keeps the word-token point.  The prefix join is
+#: not a candidate: on word tokens it leads only between ~75 and ~110
+#: rows (by <= 0.3 ms), sparse beats it from 150 rows on (3.4x at 858),
+#: and on q-grams it is the slowest of the three at every size.
+#:
+#: When a calibrated host profile exists (``repro plan --calibrate``),
+#: ``"auto"`` asks the planner instead
+#: (:func:`repro.plan.hooks.planned_join_method`) and this constant is
+#: never consulted.  Callers can always force a method explicitly
+#: (``PowerConfig.join_method``).
+AUTO_PREFIX_CROSSOVER = 90
 
 #: The join strategies accepted by :func:`similar_pairs`.
 JOIN_METHODS = ("auto", "naive", "prefix", "sparse")
@@ -43,24 +68,54 @@ def _record_tokens(table: Table, use_qgrams: bool) -> list[frozenset[str]]:
     return [word_tokens(table.record_text(r.record_id)) for r in table]
 
 
-def _resolve_auto(token_sets: Sequence[frozenset[str]]) -> str:
+def _resolve_auto(
+    rows: int, token_sets: Callable[[], Sequence[frozenset[str]]]
+) -> str:
     """The concrete method behind ``"auto"``: calibrated when possible.
 
     With a calibrated host profile on disk the planner prices the naive
-    scan against the prefix join for this row/token shape; otherwise the
-    static :data:`AUTO_PREFIX_CROSSOVER` row count decides.  Only the two
-    range-capable joins are candidates, so ``"auto"`` resolves identically
-    for :func:`similar_pairs` and :func:`similar_pairs_range` — the serial
-    and sharded paths always agree.
+    scan against the sparse join for this row/token shape; otherwise the
+    static :data:`AUTO_PREFIX_CROSSOVER` row count decides.  The serial
+    join, :func:`similar_pairs_range` and the sharded resolver all resolve
+    ``"auto"`` here, so the serial and sharded paths always agree.
+    *token_sets* is called only when the planner needs the average set
+    size, so the static rule tokenizes nothing.
     """
     from ..plan import hooks as plan_hooks
 
-    rows = len(token_sets)
-    avg_tokens = sum(len(t) for t in token_sets) / max(1, rows)
-    planned = plan_hooks.planned_join_method(rows, avg_tokens)
-    if planned is not None:
-        return planned
-    return "prefix" if rows > AUTO_PREFIX_CROSSOVER else "naive"
+    if plan_hooks.calibrated_profile() is not None:
+        avg_tokens = sum(map(len, token_sets())) / max(1, rows)
+        planned = plan_hooks.planned_join_method(rows, avg_tokens)
+        if planned is not None:
+            return planned
+    return "sparse" if rows > AUTO_PREFIX_CROSSOVER else "naive"
+
+
+def resolve_join_method(table: Table, tokens: str, method: str) -> str:
+    """The concrete join *method* names for *table* (``"auto"`` resolved)."""
+    if method != "auto":
+        return method
+    return _resolve_auto(
+        len(table), lambda: _record_tokens(table, use_qgrams=(tokens == "qgram"))
+    )
+
+
+def _run_join(
+    token_sets: Sequence[frozenset[str]],
+    threshold: float,
+    method: str,
+    lo: int = 0,
+    hi: int | None = None,
+) -> set[Pair]:
+    if method == "naive":
+        return _naive_join(token_sets, threshold, lo=lo, hi=hi)
+    if method == "prefix":
+        return _prefix_join(token_sets, threshold, lo=lo, hi=hi)
+    if method == "sparse":
+        from .batch import sparse_jaccard_join
+
+        return sparse_jaccard_join(token_sets, threshold, lo=lo, hi=hi)
+    raise ConfigurationError(f"unknown join method {method!r}")
 
 
 def similar_pairs(
@@ -79,7 +134,8 @@ def similar_pairs(
         method: ``"naive"`` forces the quadratic scan, ``"prefix"`` forces the
             prefix-filter join, ``"sparse"`` forces the inverted-list numpy
             join (:func:`repro.similarity.batch.sparse_jaccard_join`), and
-            ``"auto"`` picks by table size (:data:`AUTO_PREFIX_CROSSOVER`).
+            ``"auto"`` picks naive or sparse (calibrated profile, else by
+            table size against :data:`AUTO_PREFIX_CROSSOVER`).
 
     Returns:
         Canonically ordered pairs, sorted for determinism.
@@ -98,18 +154,9 @@ def similar_pairs(
     ) as span:
         token_sets = _record_tokens(table, use_qgrams=(tokens == "qgram"))
         if method == "auto":
-            method = _resolve_auto(token_sets)
+            method = _resolve_auto(len(token_sets), lambda: token_sets)
             span.set_attribute("method", method)
-        if method == "naive":
-            pairs = _naive_join(token_sets, threshold)
-        elif method == "prefix":
-            pairs = _prefix_join(token_sets, threshold)
-        elif method == "sparse":
-            from .batch import sparse_jaccard_join
-
-            pairs = sparse_jaccard_join(token_sets, threshold)
-        else:
-            raise ConfigurationError(f"unknown join method {method!r}")
+        pairs = _run_join(token_sets, threshold, method)
         span.set_attribute("pairs", len(pairs))
     if obs.metrics:
         obs.registry.counter(
@@ -139,13 +186,11 @@ def similar_pairs_range(
     the prefix filter admits no false negatives for any probe schedule.
 
     This is the work unit of the sharded resolver's parallel candidate
-    join.  A range task replays the (cheap) index insertions for records
-    before *lo* and probes only its own records, so per-task overhead is
-    the tokenization plus O(prefix tokens) appends — negligible next to
-    the candidate verification it parallelizes.
-
-    ``method="sparse"`` has no range form (the numpy inverted join is one
-    global matrix product) and raises.
+    join.  A range task of the ``"prefix"`` or ``"sparse"`` join replays
+    the (cheap) index insertions for records before *lo* and probes only
+    its own records, so per-task overhead is the tokenization plus
+    posting-list appends — small next to the candidate verification it
+    parallelizes.  ``"auto"`` resolves exactly as in :func:`similar_pairs`.
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
@@ -155,20 +200,14 @@ def similar_pairs_range(
         raise ConfigurationError(
             f"range [{lo}, {hi}) escapes the {len(table)}-record table"
         )
-    if method == "sparse":
-        raise ConfigurationError("the sparse join has no range-restricted form")
-    if method not in ("auto", "naive", "prefix"):
+    if method not in JOIN_METHODS:
         raise ConfigurationError(f"unknown join method {method!r}")
     if len(table) < 2 or lo == hi:
         return []
     token_sets = _record_tokens(table, use_qgrams=(tokens == "qgram"))
     if method == "auto":
-        method = _resolve_auto(token_sets)
-    if method == "naive":
-        pairs = _naive_join(token_sets, threshold, lo=lo, hi=hi)
-    else:
-        pairs = _prefix_join(token_sets, threshold, lo=lo, hi=hi)
-    return sorted(pairs)
+        method = _resolve_auto(len(token_sets), lambda: token_sets)
+    return sorted(_run_join(token_sets, threshold, method, lo=lo, hi=hi))
 
 
 def _naive_join(
@@ -222,9 +261,14 @@ def _prefix_join(
 
     index: dict[str, list[int]] = defaultdict(list)
     pairs: set[Pair] = set()
+    empties: list[int] = []
     for record_id, tokens in enumerate(sorted_tokens[:hi]):
         size = len(tokens)
         if size == 0:
+            # jaccard(∅, ∅) == 1.0: empty records pair among themselves.
+            if record_id >= lo:
+                pairs.update((other, record_id) for other in empties)
+            empties.append(record_id)
             continue
         prefix_len = size - math.ceil(threshold * size) + 1
         if record_id < lo:

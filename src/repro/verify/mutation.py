@@ -28,6 +28,9 @@ mutant                  seeded bug
 ``plan-changes-results``  the cost planner's apply step also flips a
                         semantic knob (``epsilon``), so a planned run
                         returns different answers
+``sparse-range-replay-skip``  the sparse join's range form skips the
+                        posting-list replay of the records before ``lo``,
+                        losing every pair that reaches back across a cut
 ======================  ====================================================
 
 Patching is done by rebinding module/class attributes inside a context
@@ -52,6 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..core.config import PowerConfig
 from ..crowd.platform import PerfectCrowd, SimulatedCrowd
 from ..crowd.worker import WorkerPool
 from ..exceptions import VerificationError
@@ -378,6 +382,29 @@ def _mutant_obs_perturbs_selection():
     return _patched((obs_instrument, "observe_round", mutated))
 
 
+def _mutant_sparse_range_replay_skip():
+    """The sparse range form probes without replaying records before *lo*.
+
+    A range task then sees an index holding only its own records and
+    loses every pair reaching back across its lower cut.  Whole-table
+    joins (``lo == 0``) are untouched, and the battery's sharded runs stay
+    below the ``auto`` crossover (their tiles run the naive join), so only
+    the join-methods step — which tiles the sparse join over lopsided
+    cuts — can catch it.  ``similar_pairs`` imports the kernel lazily, so
+    patching the defining module reaches every caller.
+    """
+    from ..similarity import batch
+
+    original = batch.sparse_jaccard_join
+
+    def mutated(token_sets, threshold, lo=0, hi=None):
+        hi = len(token_sets) if hi is None else hi
+        local = original(token_sets[lo:hi], threshold)  # bug: no replay
+        return {(a + lo, b + lo) for a, b in local}
+
+    return _patched((batch, "sparse_jaccard_join", mutated))
+
+
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "drop-dominance-edge",
@@ -443,6 +470,11 @@ MUTANTS: tuple[Mutant, ...] = (
         "plan-changes-results",
         "the cost planner's apply step also flips a semantic knob (epsilon)",
         _mutant_plan_changes_results,
+    ),
+    Mutant(
+        "sparse-range-replay-skip",
+        "the sparse join's range form skips the replay of records before lo",
+        _mutant_sparse_range_replay_skip,
     ),
 )
 
@@ -536,6 +568,11 @@ def run_detection_battery(
         aggregation="weighted",
     )
     oracles.check_crowd_aggregation(crowd, pairs[:10])
+
+    # Join methods, whole and range-tiled over lopsided cuts, against the
+    # naive scan: the only step that runs a sparse range tile with lo > 0,
+    # hence the only one able to catch the sparse-range-replay-skip mutant.
+    oracles.check_join_methods(_battery_table(), PowerConfig().pruning_threshold)
 
     # Sharded vs serial resolver: inline (workers=0), >= 2 join tiles, so
     # a merge that drops or double-counts a tile's pairs has to change the

@@ -168,14 +168,36 @@ def check_batch_similarity(
 
 
 def check_join_methods(table: Table, threshold: float) -> None:
-    """naive / prefix / sparse joins must produce the identical pair set."""
-    from ..similarity.join import similar_pairs
+    """Every join, whole and range-tiled, must equal the naive pair set.
 
-    reference = similar_pairs(table, threshold, method="naive")
-    for method in ("prefix", "sparse"):
-        candidate = similar_pairs(table, threshold, method=method)
+    The full naive scan is the reference.  Each method runs once over the
+    whole table and once tiled over the lopsided cuts
+    ``[0, 1, n/3, n/2, n]``: a range task that mis-replays the records
+    before its ``lo`` loses exactly the pairs reaching back across a cut,
+    which the whole-table runs never exercise.
+    """
+    from ..similarity.join import similar_pairs, similar_pairs_range
+
+    reference = set(similar_pairs(table, threshold, method="naive"))
+    n = len(table)
+    cuts = sorted({0, min(1, n), n // 3, n // 2, n})
+    for method in ("naive", "prefix", "sparse"):
+        whole = similar_pairs(table, threshold, method=method)
         _diff_edges(
-            "naive join", set(reference), f"{method} join", set(candidate)
+            "naive join", reference, f"join-methods: {method} join", set(whole)
+        )
+        tiled: list[Pair] = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            tiled.extend(similar_pairs_range(table, threshold, lo, hi, method=method))
+        if len(tiled) != len(set(tiled)):
+            raise VerificationError(
+                f"join-methods: {method} range tiles {cuts} overlap"
+            )
+        _diff_edges(
+            "naive join",
+            reference,
+            f"join-methods: {method} join tiled over {cuts}",
+            set(tiled),
         )
 
 

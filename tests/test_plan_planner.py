@@ -104,12 +104,6 @@ class TestDecisions:
         )
         assert choose_join_method(STATS, profile).chosen == "naive"
 
-    def test_allow_sparse_false_never_prices_sparse(self):
-        profile = profile_with(join_sparse={"c0": 0.0, "c1": 0.0})
-        decision = choose_join_method(STATS, profile, allow_sparse=False)
-        assert decision.chosen != "sparse"
-        assert all(value != "sparse" for value, _ in decision.alternatives)
-
     def test_vectorize_follows_coefficients(self):
         slow_scalar = profile_with(vectorize_scalar={"c0": 10.0, "c1": 1.0})
         assert choose_vectorize(STATS, slow_scalar).chosen is True
@@ -209,6 +203,50 @@ class TestAutoJoinHook:
         explicit = similar_pairs(table, 0.2, method="naive")
         assert static_auto == planned_auto == explicit
 
+    @pytest.mark.parametrize(
+        "rows,penalized",
+        # Each profile makes the planner contradict the static crossover:
+        # the sharded path must follow the planner exactly as the serial
+        # join does, never its own size rule.
+        [(150, "join_sparse"), (60, "join_naive")],
+    )
+    def test_sharded_join_dispatches_the_serial_auto_method(
+        self, rows, penalized, hook_env, monkeypatch
+    ):
+        from repro.plan import hooks
+        from repro.shard import ShardedResolver
+        from repro.shard import resolver as shard_resolver
+        from repro.similarity import join
+
+        profile_with(**{penalized: {"c0": 10.0, "c1": 1.0}}).save(hook_env)
+        hooks.clear_cache()
+        full = load_dataset("restaurant")
+        table = subsample_table(full, rows / len(full))
+        assert len(table) == rows
+        serial_methods: list[str] = []
+        task_methods: list[str] = []
+        run_join = join._run_join
+        compute = shard_resolver.compute_join_pairs
+
+        def spy_join(token_sets, threshold, method, lo=0, hi=None):
+            serial_methods.append(method)
+            return run_join(token_sets, threshold, method, lo=lo, hi=hi)
+
+        def spy_compute(task):
+            task_methods.append(task.method)
+            return compute(task)
+
+        monkeypatch.setattr(join, "_run_join", spy_join)
+        monkeypatch.setattr(shard_resolver, "compute_join_pairs", spy_compute)
+        serial = join.similar_pairs(table, 0.2)
+        sharded = ShardedResolver(PowerConfig(shards=3), workers=0)
+        pairs = sharded._parallel_candidate_pairs(table, sharded._executor())
+        assert pairs == serial
+        expected = "sparse" if penalized == "join_naive" else "naive"
+        assert serial_methods[0] == expected
+        assert len(task_methods) >= 2
+        assert set(task_methods) == {expected}
+
     def test_hooks_silent_without_profile(self, hook_env):
         from repro.plan import hooks
 
@@ -225,7 +263,7 @@ class TestAutoJoinHook:
 
         hooks.clear_cache()
         assert hooks.calibrated_profile() is not None
-        assert hooks.planned_join_method(100, 8.0) in ("naive", "prefix")
+        assert hooks.planned_join_method(100, 8.0) in ("naive", "sparse")
         assert hooks.predicted_batch_seconds(100) > 0.0
 
 

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from repro.data import Table
 from repro.exceptions import ConfigurationError
 from repro.similarity import (
+    AUTO_PREFIX_CROSSOVER,
     similar_pairs,
     similar_pairs_edit,
     similar_pairs_range,
     top_k_pairs,
 )
+from repro.similarity.join import resolve_join_method
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
 ROW = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+#: Rows that may tokenize to the empty set (jaccard(∅, ∅) == 1).
+ROW_OR_EMPTY = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
 
 
 def make_table(rows):
@@ -75,16 +79,16 @@ class TestSimilarPairsRange:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.lists(ROW, min_size=2, max_size=25),
+        st.lists(ROW_OR_EMPTY, min_size=2, max_size=25),
         st.floats(min_value=0.1, max_value=0.9),
         st.integers(min_value=1, max_value=5),
-        st.sampled_from(["naive", "prefix"]),
+        st.sampled_from(["naive", "prefix", "sparse"]),
     )
     def test_tiling_reproduces_full_join(self, rows, threshold, slices, method):
         from repro.shard import vertex_slices
 
         table = make_table(rows)
-        reference = similar_pairs(table, threshold, method=method)
+        reference = similar_pairs(table, threshold, method="naive")
         union = []
         for lo, hi in vertex_slices(len(table), slices):
             union.extend(
@@ -109,6 +113,19 @@ class TestSimilarPairsRange:
                 )
             assert sorted(union) == reference
 
+    @pytest.mark.parametrize("method", ["naive", "prefix", "sparse"])
+    def test_empty_token_sets_pair_across_a_tile_boundary(self, method):
+        # Records 1 and 3 tokenize to the empty set; jaccard(∅, ∅) == 1,
+        # so (1, 3) survives any threshold — and the tile starting at 2
+        # only finds it if the replay of records before lo remembers 1.
+        table = make_table(["alpha beta", "", "alpha beta gamma", "", "beta"])
+        reference = similar_pairs(table, 0.5, method="naive")
+        assert (1, 3) in reference
+        union = []
+        for lo, hi in ((0, 2), (2, 4), (4, 5)):
+            union.extend(similar_pairs_range(table, 0.5, lo, hi, method=method))
+        assert sorted(union) == reference
+
     def test_range_owns_pairs_by_higher_id(self, small_table):
         lo, hi = 10, 20
         pairs = similar_pairs_range(small_table, 0.3, lo, hi, method="naive")
@@ -123,19 +140,34 @@ class TestSimilarPairsRange:
         with pytest.raises(ConfigurationError):
             similar_pairs_range(small_table, 0.0, 0, 1)
         with pytest.raises(ConfigurationError):
-            similar_pairs_range(small_table, 0.3, 0, 1, method="sparse")
-        with pytest.raises(ConfigurationError):
             similar_pairs_range(small_table, 0.3, 0, 1, method="magic")
         with pytest.raises(ConfigurationError):
             similar_pairs_range(small_table, 0.3, 0, 1, tokens="byte")
 
-    def test_auto_resolves_by_table_size(self, small_table):
-        # small_table is far below the crossover: auto must equal naive.
+    def test_auto_resolves_by_table_size(self, small_table, tmp_path, monkeypatch):
+        from repro.plan import hooks
+
+        # No calibrated profile: the static crossover decides.
+        monkeypatch.setenv("REPRO_PLAN_PROFILE", str(tmp_path / "absent.json"))
+        hooks.clear_cache()
+        # small_table (60 rows) is below the crossover: auto must be naive.
+        assert len(small_table) <= AUTO_PREFIX_CROSSOVER
+        assert resolve_join_method(small_table, "word", "auto") == "naive"
         assert similar_pairs_range(
             small_table, 0.3, 0, len(small_table), method="auto"
         ) == similar_pairs_range(
             small_table, 0.3, 0, len(small_table), method="naive"
         )
+        # Above the crossover auto leaves the naive scan for the sparse join.
+        big = make_table(
+            [f"{WORDS[i % 7]} {WORDS[(i * 3) % 7]} r{i % 40}" for i in range(150)]
+        )
+        assert len(big) > AUTO_PREFIX_CROSSOVER
+        assert resolve_join_method(big, "word", "auto") == "sparse"
+        assert resolve_join_method(big, "word", "prefix") == "prefix"
+        assert similar_pairs_range(
+            big, 0.3, 40, 150, method="auto"
+        ) == similar_pairs_range(big, 0.3, 40, 150, method="sparse")
 
 
 class TestTopKPairs:

@@ -122,6 +122,27 @@ class TestMutationSelfTest:
         with mutant.activate():
             run_detection_battery(seed=0, include_plan=False)
 
+    def test_sparse_replay_skip_is_caught_only_by_the_join_step(self, monkeypatch):
+        """Only the lopsided join tiling runs a sparse range tile with lo > 0.
+
+        Whole-table sparse joins start at ``lo == 0`` and the battery's
+        sharded runs stay below the ``auto`` crossover, so with the
+        join-methods step stubbed out the battery must pass under the
+        mutant.
+        """
+        from repro.exceptions import VerificationError
+        from repro.verify import oracles
+
+        mutant = next(
+            m for m in MUTANTS if m.name == "sparse-range-replay-skip"
+        )
+        with mutant.activate():
+            with pytest.raises(VerificationError, match="join-methods: sparse"):
+                run_detection_battery(seed=0)
+        monkeypatch.setattr(oracles, "check_join_methods", lambda *args: None)
+        with mutant.activate():
+            run_detection_battery(seed=0)
+
     def test_each_mutant_actually_changes_behavior(self):
         """Activating a mutant must make the pristine battery fail loudly."""
         for mutant in MUTANTS:
